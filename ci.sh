@@ -8,7 +8,8 @@
 #   race-stress the concurrency-bearing packages (the parallel pass
 #               manager with its per-worker relax.State pool, the
 #               shared encode cache, the incremental relaxation
-#               differential suite at 8 workers and the maod service)
+#               differential suite at 8 workers, the maod service, the
+#               router and the shared in-flight coalescing group)
 #               repeated under the race detector to shake out
 #               scheduling-dependent races
 #   maolint     pass bodies may mutate the IR only through the
@@ -93,9 +94,9 @@ go build ./...
 echo "== go test -race"
 go test -race ./...
 
-echo "== race-stress: parallel pass manager + per-worker relax state + encode cache + service"
+echo "== race-stress: parallel pass manager + per-worker relax state + encode cache + service + router"
 go test -race -count=3 ./internal/pass/ ./internal/relax/
-go test -race -count=2 ./internal/serve/
+go test -race -count=2 ./internal/serve/ ./internal/router/ ./internal/coalesce/
 # The differential suite drives the pooled per-worker relax.States at 8
 # workers with tracing on; repeat it specifically under the detector.
 go test -race -count=2 -run 'TestDifferentialAfterPasses' ./internal/relax/

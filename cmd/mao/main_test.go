@@ -63,6 +63,20 @@ func TestDriverPipeline(t *testing.T) {
 	}
 }
 
+// TestDriverASMToDevice: ASM=o[...] may name a device — emitting to
+// /dev/null succeeds instead of failing on the fsync a regular output
+// file gets.
+func TestDriverASMToDevice(t *testing.T) {
+	bin := buildDriver(t)
+	in := filepath.Join(t.TempDir(), "in.s")
+	if err := os.WriteFile(in, []byte(driverInput), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := exec.Command(bin, "--mao=REDTEST:ASM=o[/dev/null]", in).CombinedOutput(); err != nil {
+		t.Fatalf("mao failed writing to /dev/null: %v\n%s", err, out)
+	}
+}
+
 func TestDriverAnalysisOnly(t *testing.T) {
 	bin := buildDriver(t)
 	dir := t.TempDir()

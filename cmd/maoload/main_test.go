@@ -1,12 +1,15 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
 	"net/url"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -210,14 +213,7 @@ func TestRouterModeConcentratesCacheHits(t *testing.T) {
 	}
 
 	// Routed fleet: 2 fresh shards behind the real key-affinity router.
-	routedShards := newFleet(t, 2)
-	rt, err := router.New(router.Config{Shards: routedShards, ProbeInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := httptest.NewServer(rt)
-	t.Cleanup(func() { front.Close(); rt.Close() })
-	routedReport := run(front.URL, true)
+	routedReport := run(spreadRoutedFleet(t, fixtures).URL, true)
 
 	// Unrouted baseline: 2 fresh shards behind round-robin.
 	baseReport := run(roundRobinProxy(t, newFleet(t, 2)).URL, false)
@@ -238,6 +234,47 @@ func TestRouterModeConcentratesCacheHits(t *testing.T) {
 		t.Errorf("per-shard breakdown missing:\n%s", routedReport)
 	}
 	_ = baseMisses
+}
+
+// spreadRoutedFleet boots 2 fresh shards behind the real router, over
+// which the fixtures' keys span both shards. Ring placement hashes the
+// shard URLs, whose ports are ephemeral, so a fleet where every fixture
+// lands on one shard (1 in 4 for 3 fixtures) is discarded and rebuilt.
+// Ownership is read from X-Mao-Shard on a GET carrying the request
+// body: the router routes it by the same key as the POST, and the
+// daemon answers 405 without touching its result cache.
+func spreadRoutedFleet(t *testing.T, fixtures []string) *httptest.Server {
+	t.Helper()
+	for attempt := 0; attempt < 32; attempt++ {
+		rt, err := router.New(router.Config{Shards: newFleet(t, 2), ProbeInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(rt)
+		t.Cleanup(func() { front.Close(); rt.Close() })
+		owners := map[string]bool{}
+		for _, path := range fixtures {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := json.Marshal(map[string]any{"name": path, "source": string(src), "spec": "REDTEST"})
+			req, _ := http.NewRequest("GET", front.URL+"/v1/optimize", bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			owners[resp.Header.Get("X-Mao-Shard")] = true
+		}
+		if len(owners) > 1 {
+			return front
+		}
+	}
+	t.Fatal("no 2-shard ring spread the fixtures over both shards")
+	return nil
 }
 
 // TestRouterModeRequiresShardHeader: -router against a plain daemon

@@ -323,10 +323,7 @@ func fetchFlight(client *http.Client, base, viewName string) []flightEntry {
 	if resp.StatusCode != http.StatusOK {
 		return nil
 	}
-	var payload struct {
-		Process string               `json:"process"`
-		Records []scope.FlightRecord `json:"records"`
-	}
+	var payload scope.FlightPayload
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		return nil
 	}

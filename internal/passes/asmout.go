@@ -38,5 +38,11 @@ func (p *asmOut) RunUnit(ctx *pass.Ctx) (bool, error) {
 		return false, err
 	}
 	ctx.Trace(1, "wrote %s", path)
+	// Sync makes a written file durable. Devices and pipes (o[/dev/null],
+	// a FIFO) have nothing to make durable, and some reject fsync with
+	// EINVAL, so only regular files are synced.
+	if fi, err := f.Stat(); err != nil || !fi.Mode().IsRegular() {
+		return false, err
+	}
 	return false, f.Sync()
 }

@@ -1,5 +1,11 @@
 package router
 
+// The buffered optimize path, and fleet-wide miss coalescing on it.
+// Every single-unit /v1/optimize answer is forwarded fully buffered:
+// a shard that dies mid-body fails over (or becomes a 502) instead of
+// reaching the client as a truncated 200, and a ?trace= response gets
+// the router's hop span spliced in before it is relayed.
+//
 // Fleet-wide miss coalescing: when K identical /v1/optimize requests
 // are in flight at the router simultaneously, only one forward reaches
 // a shard; the other K-1 wait on it and replay the buffered response
@@ -17,29 +23,31 @@ package router
 // different path entirely.
 //
 // The shared forward runs on a context detached from the leader's
-// client: a leader that disconnects mid-flight must not kill the
-// answer its followers are waiting on. The flight is refcounted; the
-// LAST waiter to abandon it cancels the forward, and an abandoned
-// flight is unmapped so later arrivals start fresh instead of adopting
-// a doomed run. The leader publishes a result on EVERY path — success,
-// failover exhaustion (502), read error — so a waiter can never hang
-// on a flight whose run died silently.
+// client, bounded by CoalesceTimeout: a leader that disconnects
+// mid-flight must not kill the answer its followers are waiting on,
+// and only the LAST waiter to abandon the flight cancels the forward.
+// The leader publishes a result on EVERY path — success, failover
+// exhaustion (502) — so a waiter can never hang on a flight whose run
+// died silently.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
-	"sync"
 	"time"
 
+	"mao/internal/coalesce"
 	"mao/internal/scope"
 )
 
 // proxyResult is one fully buffered shard response (or router-level
-// error), the unit a coalesced flight shares between its waiters.
+// error), the unit a flight shares between its waiters.
 type proxyResult struct {
 	status int
 	header http.Header
@@ -48,102 +56,19 @@ type proxyResult struct {
 	shard string
 	// cache is the shard's own X-Mao-Cache verdict; followers override
 	// it with "coalesced" when writing their copy.
-	cache   string
-	retries int
+	cache string
+	// fo is the forward's failover history: retries, and the hop
+	// span's failover attribution.
+	fo failover
 	// errMsg is non-empty for router-level failures (no shard
 	// reachable); it feeds the access log and flight record.
 	errMsg string
 }
 
-// routerFlight is one in-flight coalesced forward.
-type routerFlight struct {
-	g    *routerFlightGroup
-	key  string
-	done chan struct{} // closed once res is published
-
-	// All three guarded by g.mu.
-	res       proxyResult
-	refs      int
-	published bool
-	cancel    context.CancelFunc
-}
-
-// routerFlightGroup deduplicates in-flight forwards by routing key.
-type routerFlightGroup struct {
-	mu sync.Mutex
-	m  map[string]*routerFlight
-}
-
-func newRouterFlightGroup() *routerFlightGroup {
-	return &routerFlightGroup{m: make(map[string]*routerFlight)}
-}
-
-// join returns the flight for key, creating it if absent. The second
-// return is true for the caller that created it — the leader, who must
-// run the forward and publish on every path.
-func (g *routerFlightGroup) join(key string) (*routerFlight, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if f, ok := g.m[key]; ok {
-		f.refs++
-		return f, false
-	}
-	f := &routerFlight{g: g, key: key, done: make(chan struct{}), refs: 1}
-	g.m[key] = f
-	return f, true
-}
-
-// setCancel installs the shared forward's cancel before any follower
-// can observe the flight as abandonable.
-func (f *routerFlight) setCancel(cancel context.CancelFunc) {
-	f.g.mu.Lock()
-	f.cancel = cancel
-	f.g.mu.Unlock()
-}
-
-// publish stores the result, retires the flight from the group, and
-// wakes every waiter. Idempotent against a racing last-leaver unmap.
-func (f *routerFlight) publish(res proxyResult) {
-	f.g.mu.Lock()
-	f.res = res
-	f.published = true
-	if f.g.m[f.key] == f {
-		delete(f.g.m, f.key)
-	}
-	cancel := f.cancel
-	f.g.mu.Unlock()
-	close(f.done)
-	if cancel != nil {
-		cancel() // release the timeout timer
-	}
-}
-
-// leave drops one waiter's reference. The last waiter to abandon an
-// unpublished flight unmaps it and cancels the shared forward — nobody
-// is left to read the answer.
-func (f *routerFlight) leave() {
-	f.g.mu.Lock()
-	f.refs--
-	var cancel context.CancelFunc
-	if f.refs == 0 && !f.published {
-		if f.g.m[f.key] == f {
-			delete(f.g.m, f.key)
-		}
-		cancel = f.cancel
-	}
-	f.g.mu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-}
-
-// coalescible reports whether a request may share a forward: a JSON
-// optimize POST that neither bypasses the cache nor requests a trace,
-// in either query-parameter or body-option spelling.
+// coalescible reports whether an optimize request may share a
+// forward: it neither bypasses the cache nor requests a trace, in
+// either query-parameter or body-option spelling.
 func coalescible(req *http.Request, body []byte) bool {
-	if req.Method != "POST" || req.URL.Path != "/v1/optimize" {
-		return false
-	}
 	q := req.URL.Query()
 	if q.Get("trace") != "" {
 		return false
@@ -166,41 +91,104 @@ func coalescible(req *http.Request, body []byte) bool {
 	return true
 }
 
-// coalesce serves one coalescible request through the flight group:
-// the leader forwards on a detached context and publishes; everyone
-// waits on the flight and replays the buffered response. Followers
-// report X-Mao-Cache: coalesced — the shard's verdict describes the
-// leader's request, not theirs.
-func (r *Router) coalesce(w http.ResponseWriter, req *http.Request, key string, body []byte, rid string, tc scope.Context, hop scope.Span, start time.Time) {
-	f, leader := r.flights.join(key)
+// proxyBuffered serves one optimize request through a flight: the
+// leader forwards on a detached context and publishes; everyone waits
+// on the flight and replays the buffered response. Followers report
+// X-Mao-Cache: coalesced — the shard's verdict describes the leader's
+// request, not theirs.
+func (r *Router) proxyBuffered(w http.ResponseWriter, req *http.Request, key string, body []byte, rid string, tc scope.Context, hop scope.Span, start time.Time) {
+	var f *coalesce.Flight[proxyResult]
+	leader, traced := true, false
+	if !r.cfg.DisableCoalesce && coalescible(req, body) {
+		if f, leader = r.flights.Join(key); !leader {
+			r.met.coalesced.Add(1)
+		}
+	} else {
+		f, traced = r.flights.Solo(), req.URL.Query().Get("trace") != ""
+	}
 	if leader {
-		// Detached from the leader's client: followers may outlive it.
 		runCtx, runCancel := context.WithTimeout(
 			context.WithoutCancel(req.Context()), r.cfg.CoalesceTimeout)
-		f.setCancel(runCancel)
+		f.SetCancel(runCancel)
 		go func() {
-			f.publish(r.forwardBuffered(runCtx, req, key, body, rid, tc, hop))
+			f.Publish(r.forwardBuffered(runCtx, req, key, body, rid, tc.Child(hop.SpanID)))
 		}()
-	} else {
-		r.met.coalesced.Add(1)
 	}
 
 	select {
-	case <-f.done:
+	case <-f.Done():
 	case <-req.Context().Done():
-		f.leave()
+		f.Leave()
 		writeError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("request abandoned before the coalesced answer arrived"))
+			errors.New("request abandoned before the shard answered"))
 		r.finishProxy(req, start, rid, tc, "", "", http.StatusServiceUnavailable, 0,
-			"client gone before the coalesced answer arrived")
+			"client gone before the shard answered")
 		return
 	}
 
-	res := f.res
+	res := f.Result()
 	verdict := res.cache
 	if !leader {
 		verdict = "coalesced"
 	}
+	out := res.body
+	// A ?trace= response carries the router's hop span at the head of
+	// its span tree. Archive streams never get here: their per-unit
+	// traces ride the NDJSON records untouched.
+	if traced && res.status == http.StatusOK {
+		hop.DurNS = time.Since(start).Nanoseconds()
+		hop.Attrs = map[string]string{
+			"shard":   res.shard,
+			"attempt": strconv.Itoa(res.fo.retries + 1),
+			"healthy": strconv.Itoa(r.Healthy()),
+		}
+		if res.fo.from != "" {
+			hop.Attrs["failover_from"] = res.fo.from
+			hop.Attrs["failover_reason"] = res.fo.err.Error()
+		}
+		out = spliceTrace(out, hop)
+	}
+	writeResult(w, res, verdict, out)
+	r.finishProxy(req, start, rid, tc, res.shard, verdict, res.status, res.fo.retries, res.errMsg)
+}
+
+// forwardBuffered runs the failover forward with the response fully
+// buffered, so it can fan out to every waiter and a mid-body death is
+// still a failover, not a truncated answer.
+func (r *Router) forwardBuffered(ctx context.Context, req *http.Request, key string, body []byte, rid string, tc scope.Context) proxyResult {
+	var res proxyResult
+	b, fo := r.forwardFailover(ctx, req, key, body, rid, tc, func(b *backend, resp *http.Response) error {
+		respBody, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		res = proxyResult{status: resp.StatusCode, header: resp.Header, body: respBody,
+			shard: b.name, cache: resp.Header.Get(cacheHeader)}
+		return nil
+	})
+	if b == nil {
+		return noShard(fo)
+	}
+	res.fo = fo
+	return res
+}
+
+// noShard is the 502 answer when every candidate failed.
+func noShard(fo failover) proxyResult {
+	err := fmt.Errorf("no shard reachable: %w", fo.err)
+	var body bytes.Buffer
+	enc := json.NewEncoder(&body)
+	enc.SetEscapeHTML(false)
+	enc.Encode(errorResponse{Error: err.Error()})
+	h := http.Header{}
+	h.Set("Content-Type", "application/json")
+	h.Set("Retry-After", "1")
+	return proxyResult{status: http.StatusBadGateway, header: h, body: body.Bytes(), fo: fo, errMsg: err.Error()}
+}
+
+// writeResult relays a buffered answer: the shard's headers, the
+// answering shard and the cache verdict, then body.
+func writeResult(w http.ResponseWriter, res proxyResult, verdict string, body []byte) {
 	copyHeaders(w.Header(), res.header)
 	if res.shard != "" {
 		w.Header().Set(shardHeader, res.shard)
@@ -208,82 +196,7 @@ func (r *Router) coalesce(w http.ResponseWriter, req *http.Request, key string, 
 	if verdict != "" {
 		w.Header().Set(cacheHeader, verdict)
 	}
-	w.Header().Del("Content-Length") // recomputed for the replayed body
+	w.Header().Del("Content-Length") // recomputed for the relayed body
 	w.WriteHeader(res.status)
-	w.Write(res.body)
-	r.finishProxy(req, start, rid, tc, res.shard, verdict, res.status, res.retries, res.errMsg)
-}
-
-// forwardBuffered is the coalesced counterpart of proxy's forwarding
-// loop: same candidate selection, same failover-once semantics, same
-// passive health marking — but the response is fully buffered so it
-// can fan out to every waiter.
-func (r *Router) forwardBuffered(ctx context.Context, req *http.Request, key string, body []byte, rid string, tc scope.Context, hop scope.Span) proxyResult {
-	seq := r.ring.seq(key)
-	var candidates []*backend
-	for _, idx := range seq {
-		if b := r.backends[idx]; b.isHealthy() {
-			candidates = append(candidates, b)
-		}
-	}
-	if len(candidates) == 0 {
-		candidates = []*backend{r.backends[seq[0]]}
-	}
-	if len(candidates) > 2 {
-		candidates = candidates[:2]
-	}
-
-	var lastErr error
-	for attempt, b := range candidates {
-		if attempt > 0 {
-			r.met.retries.Add(1)
-		}
-		fwdStart := time.Now()
-		resp, err := r.forward(ctx, req, b, body, rid, tc.Child(hop.SpanID))
-		if err != nil {
-			r.setHealthy(b, false, "forward failed: "+err.Error())
-			r.met.shard(b.name).errors.Add(1)
-			lastErr = err
-			continue
-		}
-		respBody, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil {
-			// The shard died mid-body. Nothing is committed to any
-			// waiter (the body is buffered), so failing over is safe.
-			r.setHealthy(b, false, "response read failed: "+rerr.Error())
-			r.met.shard(b.name).errors.Add(1)
-			lastErr = rerr
-			continue
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable && attempt < len(candidates)-1 {
-			r.setHealthy(b, false, "shard draining (503)")
-			lastErr = fmt.Errorf("shard %s answered 503 (draining)", b.name)
-			continue
-		}
-		r.met.shard(b.name).requests.Add(1)
-		r.met.shard(b.name).latency.observe(time.Since(fwdStart).Seconds())
-		return proxyResult{
-			status:  resp.StatusCode,
-			header:  resp.Header,
-			body:    respBody,
-			shard:   b.name,
-			cache:   resp.Header.Get(cacheHeader),
-			retries: attempt,
-		}
-	}
-
-	r.met.unrouted.Add(1)
-	err := fmt.Errorf("no shard reachable: %w", lastErr)
-	errBody, _ := json.Marshal(errorResponse{Error: err.Error()})
-	h := http.Header{}
-	h.Set("Content-Type", "application/json")
-	h.Set("Retry-After", "1")
-	return proxyResult{
-		status:  http.StatusBadGateway,
-		header:  h,
-		body:    append(errBody, '\n'),
-		retries: len(candidates) - 1,
-		errMsg:  err.Error(),
-	}
+	w.Write(body)
 }

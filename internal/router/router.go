@@ -14,11 +14,12 @@
 // by a factor of N — cmd/maoload's zipf mode measures exactly this
 // concentration.
 //
-// Identical in-flight misses coalesce (see coalesce.go): concurrent
-// duplicate optimize requests share a single shard forward, with the
-// followers replaying the buffered response under an
-// X-Mao-Cache: coalesced verdict — a thundering herd of one hot
-// request costs the fleet one pipeline run, total.
+// Optimize answers are forwarded buffered and identical in-flight
+// misses coalesce (see coalesce.go): concurrent duplicate optimize
+// requests share a single shard forward, with the followers replaying
+// the buffered response under an X-Mao-Cache: coalesced verdict — a
+// thundering herd of one hot request costs the fleet one pipeline
+// run, total.
 //
 // Failure handling: shards are health-checked via their /readyz
 // (which flips to 503 the moment a shard starts draining) and marked
@@ -26,9 +27,9 @@
 // or whose forward dies before a response arrives — is retried once
 // on the next shard in the key's ring preference order; maod requests
 // are idempotent by construction (content-addressed, deterministic),
-// so the retry is safe. Responses are streamed through with
-// flush-per-chunk, so NDJSON archive streams stay incremental across
-// the hop.
+// so the retry is safe. Every other response (archive streams above
+// all) is streamed through with flush-per-chunk, so NDJSON archive
+// streams stay incremental across the hop.
 package router
 
 import (
@@ -43,12 +44,12 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"mao/internal/cachekey"
+	"mao/internal/coalesce"
 	"mao/internal/scope"
 )
 
@@ -74,7 +75,7 @@ type Config struct {
 	// forward, followers replaying the buffered response as
 	// X-Mao-Cache: coalesced. Sound because maod is deterministic.
 	DisableCoalesce bool
-	// CoalesceTimeout bounds a coalesced shard forward, which runs
+	// CoalesceTimeout bounds a buffered optimize forward, which runs
 	// detached from the leader's client context (0 = 2m).
 	CoalesceTimeout time.Duration
 	// Logf, when non-nil, receives shard health transitions.
@@ -133,7 +134,7 @@ type Router struct {
 	client   *http.Client
 	met      *routerMetrics
 	flight   *scope.Recorder
-	flights  *routerFlightGroup // nil when coalescing is disabled
+	flights  coalesce.Group[proxyResult]
 
 	stopProbe chan struct{}
 	probeWG   sync.WaitGroup
@@ -166,12 +167,9 @@ func New(cfg Config) (*Router, error) {
 		// cut long archive streams short).
 		client:    &http.Client{},
 		met:       newRouterMetrics(names),
-		flight:    newFlightRecorder(cfg.FlightRecords),
+		flight:    scope.NewRecorder(cfg.FlightRecords),
 		stopProbe: make(chan struct{}),
 		started:   time.Now(),
-	}
-	if !cfg.DisableCoalesce {
-		r.flights = newRouterFlightGroup()
 	}
 	if cfg.ProbeInterval > 0 {
 		r.probeWG.Add(1)
@@ -352,18 +350,61 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 	}
 
 	key := routeKey(req, body)
-	// Identical in-flight misses share one forward (coalesce.go);
-	// everything else — archives, traces, no_cache — takes the
-	// streaming path below.
-	if r.flights != nil && coalescible(req, body) {
-		r.coalesce(w, req, key, body, rid, tc, hop, start)
+	// A single optimize answer is one JSON document, so it is forwarded
+	// buffered (coalesce.go): identical requests share it, a shard dying
+	// mid-body fails over instead of relaying truncated bytes, and a
+	// traced response gets the hop span spliced in. Everything else —
+	// archive streams above all — is relayed as it arrives.
+	if req.Method == "POST" && req.URL.Path == "/v1/optimize" {
+		r.proxyBuffered(w, req, key, body, rid, tc, hop, start)
 		return
 	}
+	var status int
+	var cache string
+	b, fo := r.forwardFailover(req.Context(), req, key, body, rid, tc.Child(hop.SpanID),
+		func(b *backend, resp *http.Response) error {
+			w.Header().Set(shardHeader, b.name)
+			cache = resp.Header.Get(cacheHeader)
+			copyHeaders(w.Header(), resp.Header)
+			status = resp.StatusCode
+			w.WriteHeader(status)
+			streamBody(w, resp.Body)
+			return nil // committed: a death mid-stream can no longer fail over
+		})
+	if b == nil {
+		res := noShard(fo)
+		writeResult(w, res, "", res.body)
+		r.finishProxy(req, start, rid, tc, "", "", res.status, fo.retries, res.errMsg)
+		return
+	}
+	r.finishProxy(req, start, rid, tc, b.name, cache, status, fo.retries, "")
+}
 
+// failover is the attempt history of one forward: the failover
+// forwards made, and the last candidate that failed and why.
+type failover struct {
+	retries int
+	from    string
+	err     error
+}
+
+// forwardFailover forwards req to the shards owning key, in ring
+// preference order, until one answers and relay accepts the answer.
+// Candidates are the healthy shards, at most two — one forward plus at
+// most one retry: enough to survive a single dead shard without
+// doubling load under a systemic outage. If every shard looks down,
+// the primary is tried anyway: passive marks can be stale, and an
+// honest 502 beats a guessed 503.
+//
+// A candidate fails over when its forward dies before a response
+// (transport error), when it answers 503 while another candidate
+// remains (maod answers 503 exactly while draining, before a probe has
+// caught it — so drains are hitless), or when relay returns an error
+// (the shard died mid-body and nothing was committed to the client).
+// maod requests are idempotent, so the retry is safe. It returns the
+// answering backend, or nil when none did.
+func (r *Router) forwardFailover(ctx context.Context, req *http.Request, key string, body []byte, rid string, tc scope.Context, relay func(*backend, *http.Response) error) (*backend, failover) {
 	seq := r.ring.seq(key)
-	// Candidates: healthy shards in ring preference order. If every
-	// shard looks down, try the primary anyway — passive marks can be
-	// stale, and an honest 502 beats a guessed 503.
 	var candidates []*backend
 	for _, idx := range seq {
 		if b := r.backends[idx]; b.isHealthy() {
@@ -373,99 +414,47 @@ func (r *Router) proxy(w http.ResponseWriter, req *http.Request) {
 	if len(candidates) == 0 {
 		candidates = []*backend{r.backends[seq[0]]}
 	}
-	// One forward plus at most one retry: enough to survive a single
-	// dead shard without doubling load under a systemic outage.
 	if len(candidates) > 2 {
 		candidates = candidates[:2]
 	}
 
-	// A ?trace= optimize response is buffered (never streamed) so the
-	// router can splice its hop span into the span tree. Archive
-	// streams stay passthrough: their per-unit traces ride the NDJSON
-	// records untouched.
-	wantSplice := req.URL.Path == "/v1/optimize" && req.URL.Query().Get("trace") != ""
-
-	var lastErr error
-	var failedOver string
+	var fo failover
 	for attempt, b := range candidates {
+		fo.retries = attempt
 		if attempt > 0 {
 			r.met.retries.Add(1)
 		}
 		fwdStart := time.Now()
-		resp, err := r.forward(req.Context(), req, b, body, rid, tc.Child(hop.SpanID))
-		if err != nil {
-			// Transport-level death before a response: the shard is
-			// gone or unreachable. Mark it and try the next candidate;
-			// nothing was written to the client yet, so the retry is
-			// invisible.
-			r.setHealthy(b, false, "forward failed: "+err.Error())
-			r.met.shard(b.name).errors.Add(1)
-			lastErr = err
-			failedOver = b.name
-			continue
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable && attempt < len(candidates)-1 {
-			// maod answers 503 exactly while draining: the shard is
-			// shutting down but its listener is still up, so a probe
-			// has not caught it yet. Nothing is committed to the
-			// client — fail over exactly like a transport death, and
-			// drains become hitless.
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			r.setHealthy(b, false, "shard draining (503)")
-			lastErr = fmt.Errorf("shard %s answered 503 (draining)", b.name)
-			failedOver = b.name
-			continue
-		}
-		r.met.shard(b.name).requests.Add(1)
-		w.Header().Set(shardHeader, b.name)
-		cache := resp.Header.Get(cacheHeader)
-		copyHeaders(w.Header(), resp.Header)
-		if wantSplice && resp.StatusCode == http.StatusOK {
-			respBody, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr != nil && attempt < len(candidates)-1 {
-				// The shard died mid-body; nothing is committed yet
-				// (the body was fully buffered), so fail over.
-				r.setHealthy(b, false, "response read failed: "+rerr.Error())
-				r.met.shard(b.name).errors.Add(1)
-				lastErr = rerr
-				failedOver = b.name
+		resp, err := r.forward(ctx, req, b, body, rid, tc)
+		why := "forward failed: "
+		if err == nil {
+			if resp.StatusCode == http.StatusServiceUnavailable && attempt < len(candidates)-1 {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				r.setHealthy(b, false, "shard draining (503)")
+				fo.from, fo.err = b.name, fmt.Errorf("shard %s answered 503 (draining)", b.name)
 				continue
 			}
-			hop.DurNS = time.Since(start).Nanoseconds()
-			hop.Attrs = map[string]string{
-				"shard":   b.name,
-				"attempt": strconv.Itoa(attempt + 1),
-				"healthy": strconv.Itoa(r.Healthy()),
-			}
-			if failedOver != "" {
-				hop.Attrs["failover_from"] = failedOver
-				hop.Attrs["failover_reason"] = lastErr.Error()
-			}
-			respBody = spliceTrace(respBody, hop)
-			w.Header().Del("Content-Length")
-			w.WriteHeader(resp.StatusCode)
-			w.Write(respBody)
-		} else {
-			w.WriteHeader(resp.StatusCode)
-			streamBody(w, resp.Body)
+			err = relay(b, resp)
 			resp.Body.Close()
+			if err == nil {
+				r.met.shard(b.name).requests.Add(1)
+				r.met.shard(b.name).latency.Observe(time.Since(fwdStart).Seconds())
+				return b, fo
+			}
+			why = "response read failed: "
 		}
-		r.met.shard(b.name).latency.observe(time.Since(fwdStart).Seconds())
-		r.finishProxy(req, start, rid, tc, b.name, cache, resp.StatusCode, attempt, "")
-		return
+		r.setHealthy(b, false, why+err.Error())
+		r.met.shard(b.name).errors.Add(1)
+		fo.from, fo.err = b.name, err
 	}
 	r.met.unrouted.Add(1)
-	w.Header().Set("Retry-After", "1")
-	err = fmt.Errorf("no shard reachable: %w", lastErr)
-	writeError(w, http.StatusBadGateway, err)
-	r.finishProxy(req, start, rid, tc, "", "", http.StatusBadGateway, len(candidates)-1, err.Error())
+	return nil, fo
 }
 
 // forward sends one copy of the request to b under ctx. On the
 // streaming path ctx is the client's — a client that disconnects or
-// times out cancels the shard hop too; a coalesced forward passes a
+// times out cancels the shard hop too; a buffered forward passes a
 // detached context instead, because followers may outlive the leader's
 // client. The shard sees the router's trace context — the hop span as
 // parent — so its span tree stitches under the hop.

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -395,6 +394,46 @@ func TestRouterNoShardReachable(t *testing.T) {
 	}
 }
 
+// TestRouterTracedTruncatedBody: a shard that dies mid-body on a
+// traced optimize, with no candidate left to fail over to, is a 502
+// counted on maorouter_errors_total — never a 200 relaying the
+// truncated bytes.
+func TestRouterTracedTruncatedBody(t *testing.T) {
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		io.Copy(io.Discard, req.Body)
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n" +
+			`{"assembly":"\t.text\n`)
+		buf.Flush()
+		conn.Close()
+	}))
+	t.Cleanup(shard.Close)
+	r, err := New(Config{Shards: []string{shard.URL}, ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(r)
+	t.Cleanup(func() { front.Close(); r.Close() })
+
+	body, _ := json.Marshal(&serve.OptimizeRequest{Source: testSource, Spec: "REDTEST"})
+	resp, err := http.Post(front.URL+"/v1/optimize?trace=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Errorf("status = %d, want 502 (body %q)", resp.StatusCode, got)
+	}
+	if n := r.met.shard(shard.URL).errors.Load(); n != 1 {
+		t.Errorf("maorouter_errors_total{shard} = %d, want 1", n)
+	}
+}
+
 // TestRouterProbeRecovery: a shard marked dead rejoins once its
 // /readyz answers again.
 func TestRouterProbeRecovery(t *testing.T) {
@@ -611,19 +650,5 @@ func TestNewRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := New(Config{Shards: []string{"::not a url"}}); err == nil {
 		t.Error("New with a malformed shard URL succeeded")
-	}
-}
-
-// TestHistogramSum: the local histogram copy sums observations (guards
-// the CAS loop).
-func TestHistogramSum(t *testing.T) {
-	h := newHistogram(latencyBuckets)
-	h.observe(0.001)
-	h.observe(0.002)
-	if n := h.count.Load(); n != 2 {
-		t.Fatalf("count = %d", n)
-	}
-	if sum := math.Float64frombits(h.sumBits.Load()); math.Abs(sum-0.003) > 1e-9 {
-		t.Fatalf("sum = %g", sum)
 	}
 }

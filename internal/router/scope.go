@@ -3,7 +3,6 @@ package router
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/pprof"
 	"time"
 
 	"mao/internal/scope"
@@ -17,15 +16,6 @@ import (
 // cacheHeader is maod's result-cache verdict header, relayed into the
 // router's access log and flight records.
 const cacheHeader = "X-Mao-Cache"
-
-// newFlightRecorder maps Config.FlightRecords onto a recorder:
-// negative disables (nil recorder — every call is a no-op).
-func newFlightRecorder(n int) *scope.Recorder {
-	if n < 0 {
-		return nil
-	}
-	return scope.NewRecorder(n)
-}
 
 // scopeContext resolves a proxied request's trace context: adopt a
 // well-formed inbound X-Mao-Trace, originate otherwise. The hop span
@@ -144,7 +134,7 @@ func (r *Router) finishProxy(req *http.Request, start time.Time, rid string, tc 
 	rec.TimeUnixNS = start.Add(d).UnixNano()
 	rec.TraceID = tc.TraceID
 	rec.RequestID = rid
-	rec.Client = clientOf(req)
+	rec.Client = scope.ClientID(req)
 	rec.Shard = shard
 	rec.Path = req.URL.Path
 	rec.Cache = cache
@@ -155,53 +145,7 @@ func (r *Router) finishProxy(req *http.Request, start time.Time, rid string, tc 
 	r.flight.Commit(rec, h)
 }
 
-// clientOf mirrors maod's quota identity: the X-Mao-Client header,
-// falling back to the remote address.
-func clientOf(req *http.Request) string {
-	if c := req.Header.Get("X-Mao-Client"); c != "" && len(c) <= 128 {
-		return c
-	}
-	return req.RemoteAddr
-}
-
 // DebugHandler returns the router's debug plane for the opt-in
-// -debug-addr listener: pprof under /debug/pprof/ and the flight
-// recorder under /debug/scope/. Never mounted on the proxy port.
-func (r *Router) DebugHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /debug/scope/recent", func(w http.ResponseWriter, _ *http.Request) {
-		writeFlightView(w, "recent", r.flight.Recent(), 0)
-	})
-	mux.HandleFunc("GET /debug/scope/slowest", func(w http.ResponseWriter, _ *http.Request) {
-		writeFlightView(w, "slowest", r.flight.Slowest(), 0)
-	})
-	mux.HandleFunc("GET /debug/scope/errors", func(w http.ResponseWriter, _ *http.Request) {
-		recs, seen := r.flight.Errors()
-		writeFlightView(w, "errors", recs, seen)
-	})
-	return mux
-}
-
-// flightPayload mirrors maod's /debug/scope schema
-// (internal/scope/testdata/scope_flight.schema.json).
-type flightPayload struct {
-	Process    string               `json:"process"`
-	View       string               `json:"view"`
-	ErrorsSeen uint64               `json:"errors_seen,omitempty"`
-	Records    []scope.FlightRecord `json:"records"`
-}
-
-func writeFlightView(w http.ResponseWriter, view string, recs []scope.FlightRecord, errsSeen uint64) {
-	if recs == nil {
-		recs = []scope.FlightRecord{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(flightPayload{Process: "maorouter", View: view, ErrorsSeen: errsSeen, Records: recs})
-}
+// -debug-addr listener: pprof and the flight recorder (see
+// scope.DebugHandler). Never mounted on the proxy port.
+func (r *Router) DebugHandler() http.Handler { return scope.DebugHandler("maorouter", r.flight) }

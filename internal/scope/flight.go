@@ -39,7 +39,8 @@ type FlightRecord struct {
 	// trace and the X-Request-ID plane.
 	TraceID   string `json:"trace_id,omitempty"`
 	RequestID string `json:"request_id,omitempty"`
-	// Client is the quota identity (X-Mao-Client or remote address).
+	// Client is the client identity (ClientID: X-Mao-Client or the
+	// remote host).
 	Client string `json:"client,omitempty"`
 	// Shard is the backend that served the request (router-side).
 	Shard string `json:"shard,omitempty"`
@@ -85,7 +86,12 @@ func (r *FlightRecord) copyFrom(src *FlightRecord) {
 // writer owns the slot, and bumps by 2 per completed write.
 type flightSlot struct {
 	seq atomic.Uint64
-	rec FlightRecord
+	// written is set by the slot's first Acquire, under the claim: the
+	// zero record of a never-written slot must not pass for record 0
+	// when a reader gets there between a writer's sequence increment
+	// and its claim.
+	written bool
+	rec     FlightRecord
 }
 
 // Recorder is the flight recorder. The zero value is unusable;
@@ -119,8 +125,12 @@ const (
 )
 
 // NewRecorder returns a recorder retaining the last n completed
-// requests (n is rounded up to a power of two, minimum 16).
+// requests (n is rounded up to a power of two, minimum 16). A negative
+// n returns the disabled (nil) recorder.
 func NewRecorder(n int) *Recorder {
+	if n < 0 {
+		return nil
+	}
 	size := 16
 	for size < n {
 		size <<= 1
@@ -145,6 +155,7 @@ func (r *Recorder) Acquire() (*FlightRecord, uint64) {
 	// copy-out; both hold the slot for a handful of field copies, so
 	// spinning is bounded and tiny.
 	slot.claim()
+	slot.written = true
 	slot.rec.reset()
 	slot.rec.Seq = seq
 	return &slot.rec, seq
@@ -251,9 +262,10 @@ func (r *Recorder) Recent() []FlightRecord {
 		slot.claim()
 		var cp FlightRecord
 		cp.copyFrom(&slot.rec)
+		written := slot.written
 		slot.seq.Add(1)
-		if cp.Seq != seq {
-			continue // lapped: the slot now holds a newer record
+		if !written || cp.Seq != seq {
+			continue // not written yet, or lapped: the slot holds another record
 		}
 		out = append(out, cp)
 	}

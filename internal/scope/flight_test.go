@@ -150,6 +150,17 @@ func TestRecorderHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestRecorderRecentSkipsUnwrittenSlot: a sequence number handed out
+// to a writer that has not claimed its slot yet must not surface as an
+// all-zero record 0.
+func TestRecorderRecentSkipsUnwrittenSlot(t *testing.T) {
+	r := NewRecorder(16)
+	r.next.Add(1) // a writer took sequence 0 but has not claimed its slot
+	if recs := r.Recent(); len(recs) != 0 {
+		t.Errorf("Recent returned %d records before any write: %+v", len(recs), recs)
+	}
+}
+
 // TestRecorderConcurrent exercises writers racing readers; run under
 // -race this validates the claim protocol.
 func TestRecorderConcurrent(t *testing.T) {

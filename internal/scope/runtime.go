@@ -1,11 +1,11 @@
 package scope
 
 import (
-	"fmt"
 	"io"
 	"math"
 	"runtime/metrics"
 	"sort"
+	"strconv"
 )
 
 // Go runtime health exposition (satellite of MAOSCOPE): goroutine
@@ -47,23 +47,20 @@ func WriteRuntimeMetrics(w io.Writer, prefix string) {
 	}
 
 	if v, ok := sampleUint(byName, "/sched/goroutines:goroutines"); ok {
-		fmt.Fprintf(w, "# HELP %s_go_goroutines Number of live goroutines.\n", prefix)
-		fmt.Fprintf(w, "# TYPE %s_go_goroutines gauge\n", prefix)
-		fmt.Fprintf(w, "%s_go_goroutines %d\n", prefix, v)
+		WriteMetric(w, "Number of live goroutines.", "gauge",
+			prefix+"_go_goroutines", "", strconv.FormatUint(v, 10))
 	}
 
 	objs, ok1 := sampleUint(byName, "/memory/classes/heap/objects:bytes")
 	unused, ok2 := sampleUint(byName, "/memory/classes/heap/unused:bytes")
 	if ok1 && ok2 {
-		fmt.Fprintf(w, "# HELP %s_go_heap_inuse_bytes Bytes of heap memory in use (live objects plus unused span capacity).\n", prefix)
-		fmt.Fprintf(w, "# TYPE %s_go_heap_inuse_bytes gauge\n", prefix)
-		fmt.Fprintf(w, "%s_go_heap_inuse_bytes %d\n", prefix, objs+unused)
+		WriteMetric(w, "Bytes of heap memory in use (live objects plus unused span capacity).", "gauge",
+			prefix+"_go_heap_inuse_bytes", "", strconv.FormatUint(objs+unused, 10))
 	}
 
 	if v, ok := sampleUint(byName, "/gc/cycles/total:gc-cycles"); ok {
-		fmt.Fprintf(w, "# HELP %s_go_gc_cycles_total Completed GC cycles.\n", prefix)
-		fmt.Fprintf(w, "# TYPE %s_go_gc_cycles_total counter\n", prefix)
-		fmt.Fprintf(w, "%s_go_gc_cycles_total %d\n", prefix, v)
+		WriteMetric(w, "Completed GC cycles.", "counter",
+			prefix+"_go_gc_cycles_total", "", strconv.FormatUint(v, 10))
 	}
 
 	if s, ok := byName["/gc/pauses:seconds"]; ok && s.Value.Kind() == metrics.KindFloat64Histogram {
@@ -84,9 +81,9 @@ func sampleUint(byName map[string]metrics.Sample, name string) (uint64, bool) {
 // Prometheus histogram. The _sum is approximated from bucket
 // midpoints — pause totals are for trend-watching, not accounting.
 func writePauseHistogram(w io.Writer, prefix string, h *metrics.Float64Histogram) {
-	counts := make([]uint64, len(gcPauseBounds)+1) // +1 for +Inf
+	counts := make([]int64, len(gcPauseBounds)+1) // +1 for +Inf
 	var sum float64
-	var total uint64
+	var total int64
 	for i, n := range h.Counts {
 		if n == 0 {
 			continue
@@ -111,19 +108,11 @@ func writePauseHistogram(w io.Writer, prefix string, h *metrics.Float64Histogram
 		// A runtime bucket lands in the first fixed bound that holds
 		// its upper edge.
 		idx := sort.SearchFloat64s(gcPauseBounds, hi)
-		counts[idx] += n
+		counts[idx] += int64(n)
 		sum += mid * float64(n)
-		total += n
+		total += int64(n)
 	}
-	fmt.Fprintf(w, "# HELP %s_go_gc_pause_seconds Stop-the-world GC pause durations.\n", prefix)
-	fmt.Fprintf(w, "# TYPE %s_go_gc_pause_seconds histogram\n", prefix)
-	var cum uint64
-	for i, b := range gcPauseBounds {
-		cum += counts[i]
-		fmt.Fprintf(w, "%s_go_gc_pause_seconds_bucket{le=\"%g\"} %d\n", prefix, b, cum)
-	}
-	cum += counts[len(gcPauseBounds)]
-	fmt.Fprintf(w, "%s_go_gc_pause_seconds_bucket{le=\"+Inf\"} %d\n", prefix, cum)
-	fmt.Fprintf(w, "%s_go_gc_pause_seconds_sum %g\n", prefix, sum)
-	fmt.Fprintf(w, "%s_go_gc_pause_seconds_count %d\n", prefix, total)
+	name := prefix + "_go_gc_pause_seconds"
+	WriteFamily(w, "Stop-the-world GC pause durations.", "histogram", name)
+	writeHistogramSeries(w, name, "", gcPauseBounds, counts, total, sum)
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mao/internal/check"
+	"mao/internal/coalesce"
 	"mao/internal/pass"
 	"mao/internal/scope"
 	"mao/internal/trace"
@@ -172,7 +173,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	// is a request-rate bound, and a 429 here consumes no global queue
 	// slot — tenant isolation sits UNDER the shared admission control.
 	fi := flightFrom(r.Context())
-	if ok, retryAfter := s.quota.take(clientID(r)); !ok {
+	if ok, retryAfter := s.quota.take(scope.ClientID(r)); !ok {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 		writeFlightError(w, fi, http.StatusTooManyRequests, errors.New("client quota exhausted"))
 		return
@@ -201,16 +202,7 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// In-flight miss coalescing: identical misses share one pipeline
-	// run. Followers consume no queue slot and answer the moment the
-	// leader's run lands; no_cache and ?trace requests never coalesce
-	// (the first asked for a fresh run, the second needs its own span
-	// tree).
-	var f *flight
-	leader := true
-	if s.flights != nil && !req.Options.NoCache && req.Options.Trace == "" {
-		f, leader = s.flights.join(key)
-	}
+	f, leader := s.joinFlight(req, key)
 	verdict := "miss"
 	if !leader {
 		verdict = "coalesced"
@@ -223,79 +215,24 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.deadlineFor(req))
 	defer cancel()
-
-	if f == nil {
-		// Uncoalescible: this request owns its run, start to finish.
-		col := trace.NewCollector()
-		col.TraceID = requestIDFrom(ctx)
-		j := &job{req: req, key: key, ctx: ctx, done: make(chan jobResult, 1),
-			col: col, admitted: col.Now()}
-		if ok, retryAfter := s.admit(j); !ok {
-			if retryAfter > 0 {
-				w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-				writeFlightError(w, fi, http.StatusTooManyRequests, errors.New("optimization queue is full"))
-			} else {
-				writeFlightError(w, fi, http.StatusServiceUnavailable, errors.New("server is draining"))
-			}
-			return
-		}
-
-		select {
-		case res := <-j.done:
-			if fi != nil {
-				fi.queueNS = res.queueNS
-				fi.spans = res.spans
-			}
-			if res.err != nil {
-				writeFlightError(w, fi, res.status, res.err)
-				return
-			}
-			resp := res.resp
-			if mode := req.Options.Trace; mode != "" {
-				resp = traceResponse(resp, res.spans, scopeContextFrom(r.Context()), key, mode)
-			}
-			writeJSON(w, http.StatusOK, resp)
-		case <-ctx.Done():
-			// Deadline expired (or client went away) while the job was
-			// still queued or running; the worker will observe the same
-			// context and discard the job.
-			writeFlightError(w, fi, statusForCtx(ctx.Err()), fmt.Errorf("request abandoned: %w", ctx.Err()))
-		}
-		return
-	}
-
 	if leader {
-		// The shared run is detached from this request's context —
-		// followers may outlive this handler — but bounded by the same
-		// deadline; the last waiter to leave cancels it. WithoutCancel
-		// keeps the request-ID/trace values for the spans.
-		runCtx, runCancel := context.WithTimeout(context.WithoutCancel(r.Context()), s.deadlineFor(req))
-		f.setCancel(runCancel)
-		col := trace.NewCollector()
-		col.TraceID = requestIDFrom(runCtx)
-		j := &job{req: req, key: key, ctx: runCtx, done: make(chan jobResult, 1),
-			col: col, admitted: col.Now()}
-		if ok, retryAfter := s.admit(j); !ok {
-			// The leader publishes on every path — a refusal becomes the
-			// shared result, so no waiter ever hangs on a run that never
-			// started.
+		// The leader publishes on every path — a refusal becomes the
+		// shared result, so no waiter ever hangs on a run that never
+		// started. An admitted job publishes from its worker: Close
+		// drains every admitted job, so every waiter gets a result or a
+		// clean error even when the server shuts down mid-flight.
+		if ok, retryAfter := s.admit(s.newJob(r.Context(), req, key, f)); !ok {
 			if retryAfter > 0 {
-				f.publish(jobResult{status: http.StatusTooManyRequests, err: errors.New("optimization queue is full")})
+				f.Publish(jobResult{status: http.StatusTooManyRequests, err: errors.New("optimization queue is full")})
 			} else {
-				f.publish(jobResult{status: http.StatusServiceUnavailable, err: errors.New("server is draining")})
+				f.Publish(jobResult{status: http.StatusServiceUnavailable, err: errors.New("server is draining")})
 			}
-		} else {
-			// The driver outlives this handler. Close drains every
-			// admitted job — j.done always receives exactly once — so
-			// every waiter gets a result or a clean error even when the
-			// server shuts down mid-flight.
-			go func() { f.publish(<-j.done) }()
 		}
 	}
 
 	select {
-	case <-f.done:
-		res := f.res
+	case <-f.Done():
+		res := f.Result()
 		if fi != nil {
 			fi.queueNS = res.queueNS
 			fi.spans = res.spans
@@ -307,11 +244,43 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			writeFlightError(w, fi, res.status, res.err)
 			return
 		}
-		writeJSON(w, http.StatusOK, res.resp)
+		resp := res.resp
+		if mode := req.Options.Trace; mode != "" {
+			resp = traceResponse(resp, res.spans, scopeContextFrom(r.Context()), key, mode)
+		}
+		writeJSON(w, http.StatusOK, resp)
 	case <-ctx.Done():
-		f.leave()
+		// Deadline expired (or client went away) while the job was
+		// still queued or running. Leaving cancels the run once no
+		// waiter is left; the worker observes that and discards it.
+		f.Leave()
 		writeFlightError(w, fi, statusForCtx(ctx.Err()), fmt.Errorf("request abandoned: %w", ctx.Err()))
 	}
+}
+
+// joinFlight returns the shared run a request waits on, and whether
+// the caller leads it. In-flight miss coalescing: identical misses
+// share one pipeline run, and followers consume no queue slot. A
+// no_cache request (it asked for a fresh run), a traced one (it needs
+// its own span tree) and every request under DisableCoalesce run solo.
+func (s *Server) joinFlight(req *OptimizeRequest, key string) (*coalesce.Flight[jobResult], bool) {
+	if s.cfg.DisableCoalesce || req.Options.NoCache || req.Options.Trace != "" {
+		return s.flights.Solo(), true
+	}
+	return s.flights.Join(key)
+}
+
+// newJob builds the job a flight's leader admits. The run is detached
+// from the leader's context — followers may outlive its request — but
+// bounded by the request's deadline; the last waiter to leave cancels
+// it. WithoutCancel keeps the request-ID and trace values for the
+// spans.
+func (s *Server) newJob(ctx context.Context, req *OptimizeRequest, key string, f *coalesce.Flight[jobResult]) *job {
+	runCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), s.deadlineFor(req))
+	f.SetCancel(cancel)
+	col := trace.NewCollector()
+	col.TraceID = requestIDFrom(runCtx)
+	return &job{req: req, key: key, ctx: runCtx, flight: f, col: col, admitted: col.Now()}
 }
 
 // writeFlightError reports err on the wire and into the request's

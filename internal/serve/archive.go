@@ -13,8 +13,8 @@ import (
 	"time"
 
 	"mao/internal/check"
+	"mao/internal/coalesce"
 	"mao/internal/scope"
-	"mao/internal/trace"
 )
 
 // The archive request path: POST /v1/optimize/archive accepts a whole
@@ -134,7 +134,7 @@ func parseArchive(r io.Reader, maxUnits int, maxSource int64) ([]archiveUnit, er
 
 // handleArchive is POST /v1/optimize/archive.
 func (s *Server) handleArchive(w http.ResponseWriter, r *http.Request) {
-	client := clientID(r)
+	client := scope.ClientID(r)
 	// One token opens the stream (429 if the client has none); each
 	// unit then pays a token via quota.wait — pacing, not refusal,
 	// because a committed 200 stream cannot turn into a 429.
@@ -287,121 +287,70 @@ func (s *Server) submitArchive(ctx context.Context, client string, units []archi
 		// one already running — in this archive or any concurrent
 		// request — waits on the shared run instead of admitting its
 		// own. Followers consume neither a queue slot nor a window slot.
-		var f *flight
-		leader := true
-		if s.flights != nil && !req.Options.NoCache && req.Options.Trace == "" {
-			f, leader = s.flights.join(key)
-		}
-		if f != nil && !leader {
+		f, leader := s.joinFlight(req, key)
+		if !leader {
 			s.met.coalescedTotal.Add(1)
 			go func(i int, name string) {
-				select {
-				case <-f.done:
-					outcomes <- flightRecord(i, name, f.res, "coalesced")
-				case <-ctx.Done():
-					f.leave()
-					outcomes <- ArchiveRecord{
-						Index: i, Name: name, Status: statusForCtx(ctx.Err()),
-						Error: "unit abandoned: " + ctx.Err().Error(),
-					}
-				}
+				outcomes <- unitRecord(ctx, f, i, name, key, "coalesced", tc, proto.Options.Trace)
 			}(i, u.name)
 			continue
 		}
+		// The leader publishes on every path, so cross-request waiters
+		// never hang on a run that will not start.
 		select {
 		case window <- struct{}{}:
 		case <-ctx.Done():
-			if f != nil {
-				// The leader publishes on every path, so cross-request
-				// waiters never hang on a run that will not start.
-				f.publish(jobResult{status: statusForCtx(ctx.Err()),
-					err: fmt.Errorf("archive aborted: %w", ctx.Err())})
-			}
+			f.Publish(jobResult{status: statusForCtx(ctx.Err()),
+				err: fmt.Errorf("archive aborted: %w", ctx.Err())})
 			abortRest(i, statusForCtx(ctx.Err()), "archive aborted: "+ctx.Err().Error())
 			return
 		}
-		col := trace.NewCollector()
-		col.TraceID = requestIDFrom(ctx)
-		runCtx := ctx
-		if f != nil {
-			// The shared run must survive this archive's cancellation
-			// for waiters on other requests; the last waiter out
-			// cancels it.
-			rc, rcancel := context.WithTimeout(context.WithoutCancel(ctx), s.deadlineFor(proto))
-			f.setCancel(rcancel)
-			runCtx = rc
-		}
-		j := &job{req: req, key: key, ctx: runCtx, done: make(chan jobResult, 1),
-			col: col, admitted: col.Now()}
-		if !s.admitArchiveJob(ctx, j) {
-			if f != nil {
-				if ctx.Err() != nil {
-					f.publish(jobResult{status: statusForCtx(ctx.Err()),
-						err: fmt.Errorf("archive aborted: %w", ctx.Err())})
-				} else {
-					f.publish(jobResult{status: http.StatusServiceUnavailable,
-						err: errors.New("server is draining")})
-				}
-			}
+		// The run must survive this archive's cancellation for waiters
+		// on other requests; the last waiter out cancels it.
+		if !s.admitArchiveJob(ctx, s.newJob(ctx, req, key, f)) {
 			<-window
 			if ctx.Err() != nil {
+				f.Publish(jobResult{status: statusForCtx(ctx.Err()),
+					err: fmt.Errorf("archive aborted: %w", ctx.Err())})
 				abortRest(i, statusForCtx(ctx.Err()), "archive aborted: "+ctx.Err().Error())
 			} else {
+				f.Publish(jobResult{status: http.StatusServiceUnavailable,
+					err: errors.New("server is draining")})
 				abortRest(i, http.StatusServiceUnavailable, "archive aborted: server is draining")
 			}
 			return
 		}
-		if f != nil {
-			go func(f *flight, j *job) { f.publish(<-j.done) }(f, j)
-		}
-		go func(i int, name, key string, f *flight) {
+		go func(i int, name string) {
 			defer func() { <-window }()
-			if f != nil {
-				select {
-				case <-f.done:
-					outcomes <- flightRecord(i, name, f.res, "miss")
-				case <-ctx.Done():
-					f.leave()
-					outcomes <- ArchiveRecord{
-						Index: i, Name: name, Status: statusForCtx(ctx.Err()),
-						Error: "unit abandoned: " + ctx.Err().Error(),
-					}
-				}
-				return
-			}
-			select {
-			case res := <-j.done:
-				if res.err != nil {
-					outcomes <- ArchiveRecord{Index: i, Name: name, Status: res.status, Error: res.err.Error()}
-					return
-				}
-				rec := recordFor(i, name, res.resp, false)
-				if proto.Options.Trace != "" {
-					// The unit's content address salts its span IDs, so
-					// sibling units under the shared trace context get
-					// disjoint ID spaces.
-					rec.Trace = scope.Project(res.spans, tc, "maod", key)
-				}
-				outcomes <- rec
-			case <-ctx.Done():
-				outcomes <- ArchiveRecord{
-					Index: i, Name: name, Status: statusForCtx(ctx.Err()),
-					Error: "unit abandoned: " + ctx.Err().Error(),
-				}
-			}
-		}(i, u.name, key, f)
+			outcomes <- unitRecord(ctx, f, i, name, key, "miss", tc, proto.Options.Trace)
+		}(i, u.name)
 	}
 }
 
-// flightRecord projects a shared-flight outcome onto the record
-// schema: verdict is "miss" for the unit that led the run, "coalesced"
-// for units that rode along.
-func flightRecord(i int, name string, res jobResult, verdict string) ArchiveRecord {
+// unitRecord waits for a unit's run and projects the outcome onto the
+// record schema: verdict is "miss" for the unit that led the run,
+// "coalesced" for units that rode along. A traced unit's record carries
+// its span tree; the unit's content address salts its span IDs, so
+// sibling units under the shared trace context get disjoint ID spaces.
+func unitRecord(ctx context.Context, f *coalesce.Flight[jobResult], i int, name, key, verdict string, tc scope.Context, traceMode string) ArchiveRecord {
+	select {
+	case <-f.Done():
+	case <-ctx.Done():
+		f.Leave()
+		return ArchiveRecord{
+			Index: i, Name: name, Status: statusForCtx(ctx.Err()),
+			Error: "unit abandoned: " + ctx.Err().Error(),
+		}
+	}
+	res := f.Result()
 	if res.err != nil {
 		return ArchiveRecord{Index: i, Name: name, Status: res.status, Error: res.err.Error()}
 	}
 	rec := recordFor(i, name, res.resp, false)
 	rec.Cache = verdict
+	if traceMode != "" {
+		rec.Trace = scope.Project(res.spans, tc, "maod", key)
+	}
 	return rec
 }
 

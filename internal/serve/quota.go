@@ -3,32 +3,10 @@ package serve
 import (
 	"context"
 	"math"
-	"net"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// clientIDHeader names the tenant a request belongs to for quota
-// accounting. Requests without it fall back to the remote address's
-// host, so unlabeled clients are still isolated from each other by
-// origin instead of sharing one global bucket.
-const clientIDHeader = "X-Mao-Client"
-
-// clientID resolves the quota identity of a request. Inbound IDs are
-// length-capped like request IDs: the value is reflected into metrics
-// labels, and unbounded attacker-controlled label values have no
-// business there.
-func clientID(r *http.Request) string {
-	if id := r.Header.Get(clientIDHeader); id != "" && len(id) <= 128 {
-		return id
-	}
-	if host, _, err := net.SplitHostPort(r.RemoteAddr); err == nil {
-		return host
-	}
-	return r.RemoteAddr
-}
 
 // maxQuotaClients bounds the bucket table. Beyond it, idle-and-full
 // buckets (which a fresh bucket is indistinguishable from) are evicted

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"net/http"
 
 	"mao/internal/scope"
@@ -15,15 +14,6 @@ import (
 // handlers report per-request facts (cache verdict, queue wait, span
 // stream) back to the middleware, which writes the flight record after
 // the response is committed.
-
-// newFlightRecorder maps Config.FlightRecords onto a recorder:
-// negative disables (nil recorder — every scope call is a no-op).
-func newFlightRecorder(n int) *scope.Recorder {
-	if n < 0 {
-		return nil
-	}
-	return scope.NewRecorder(n)
-}
 
 // scopeKey carries the request's scope.Context.
 type scopeKey struct{}
@@ -82,7 +72,7 @@ func (s *Server) recordFlight(r *http.Request, status int, durNS int64, nowUnixN
 	rec.TimeUnixNS = nowUnixNS
 	rec.TraceID = scopeContextFrom(r.Context()).TraceID
 	rec.RequestID = requestIDFrom(r.Context())
-	rec.Client = clientID(r)
+	rec.Client = scope.ClientID(r)
 	rec.Path = r.URL.Path
 	rec.Status = status
 	rec.DurNS = durNS
@@ -100,26 +90,11 @@ func (s *Server) recordFlight(r *http.Request, status int, durNS int64, nowUnixN
 	s.flight.Commit(rec, h)
 }
 
-// flightPayload is the JSON shape of every /debug/scope endpoint,
-// pinned by internal/scope/testdata/scope_flight.schema.json.
-type flightPayload struct {
-	Process    string               `json:"process"`
-	View       string               `json:"view"`
-	ErrorsSeen uint64               `json:"errors_seen,omitempty"`
-	Records    []scope.FlightRecord `json:"records"`
-}
-
-// writeFlightView serves one flight-recorder view as JSON. Records is
-// never null — an empty recorder answers an empty array.
-func writeFlightView(w http.ResponseWriter, process, view string, recs []scope.FlightRecord, errsSeen uint64) {
-	if recs == nil {
-		recs = []scope.FlightRecord{}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	enc.Encode(flightPayload{Process: process, View: view, ErrorsSeen: errsSeen, Records: recs})
-}
+// DebugHandler returns maod's debug plane for its opt-in debug
+// listener (-debug-addr): pprof and the flight recorder (see
+// scope.DebugHandler). The main handler serves nothing under /debug/,
+// which the tests pin.
+func (s *Server) DebugHandler() http.Handler { return scope.DebugHandler("maod", s.flight) }
 
 // parseTraceMode maps the ?trace= query parameter onto the
 // OptimizeOptions.Trace values: 1/true → "spans", chrome → "chrome".

@@ -17,10 +17,10 @@
 //     never occupies a worker, and one mid-pipeline aborts between
 //     passes/functions.
 //   - Batching: requests with the same pass spec arriving within a
-//     short window are grouped, so one dispatch (and one spec
-//     validation) serves the whole group and the shared encoding cache
-//     stays hot across the batch. Output is per-request and identical
-//     to unbatched execution.
+//     short window are grouped, so one dispatch serves the whole group
+//     and the shared encoding cache stays hot across the batch. Each
+//     job still parses the spec into its own pass.Manager. Output is
+//     per-request and identical to unbatched execution.
 //   - A content-addressed result cache keyed on (source hash, spec,
 //     options) with LRU eviction: re-optimizing an unchanged unit with
 //     an unchanged pipeline is a cache hit and touches no worker.
@@ -50,6 +50,7 @@ import (
 
 	"mao/internal/asm"
 	"mao/internal/check"
+	"mao/internal/coalesce"
 	"mao/internal/memo"
 	"mao/internal/pass"
 	_ "mao/internal/passes" // register the pass catalog
@@ -165,10 +166,11 @@ func (c Config) withDefaults() Config {
 // job is one admitted optimization request on its way through the
 // queue → batcher → worker pipeline.
 type job struct {
-	req  *OptimizeRequest
-	key  string // content address; "" when the result cache is off
-	ctx  context.Context
-	done chan jobResult // buffered(1); the worker always sends exactly once
+	req *OptimizeRequest
+	key string // content address; "" when the result cache is off
+	ctx context.Context
+	// flight receives the result; the worker publishes exactly once.
+	flight *coalesce.Flight[jobResult]
 
 	// col is the request's span collector, created at admission so its
 	// epoch anchors the queue-wait span; admitted is the admission
@@ -196,8 +198,8 @@ type Server struct {
 	cfg        Config
 	relaxCache *relax.Cache
 	results    *resultCache
-	memo       *memo.Memo   // nil when Config.MemoEntries < 0
-	flights    *flightGroup // nil when Config.DisableCoalesce
+	memo       *memo.Memo // nil when Config.MemoEntries < 0
+	flights    coalesce.Group[jobResult]
 	met        *metrics
 	quota      *quotas         // nil when Config.QuotaRate == 0
 	flight     *scope.Recorder // nil when Config.FlightRecords < 0
@@ -228,7 +230,7 @@ func New(cfg Config) *Server {
 		results:      newResultCache(cfg.ResultCacheEntries),
 		met:          newMetrics(),
 		quota:        newQuotas(cfg.QuotaRate, cfg.QuotaBurst),
-		flight:       newFlightRecorder(cfg.FlightRecords),
+		flight:       scope.NewRecorder(cfg.FlightRecords),
 		queue:        make(chan *job, cfg.QueueDepth),
 		batches:      make(chan *batch, cfg.QueueDepth),
 		accepting:    true,
@@ -239,9 +241,6 @@ func New(cfg Config) *Server {
 		// Salted exactly like mao.NewMemo: entries never outlive the
 		// pass catalog or validator semantics they were filled under.
 		s.memo = memo.New(cfg.MemoEntries, pass.CatalogVersion(), check.Version, verify.Version)
-	}
-	if !cfg.DisableCoalesce {
-		s.flights = newFlightGroup()
 	}
 	s.grouper = newBatcher(cfg.BatchWindow, cfg.BatchMax, s.batches)
 	go s.dispatch()
@@ -328,12 +327,12 @@ func (s *Server) worker() {
 	}
 }
 
-// runBatch executes every job of one same-spec batch. The spec was
-// validated at admission; it is parsed once here, and the shared
-// relaxation cache carries encodings across the batch. Pass instances
-// are deliberately created fresh per unit (via pass.NewManager):
-// passes like SIMADDR accumulate per-run instance state, so sharing
-// instances across units would cross-contaminate results.
+// runBatch executes every job of one same-spec batch, in order, on
+// this worker; the shared relaxation cache carries encodings across
+// the batch. The spec was validated at admission, and runJob parses it
+// again per job: pass.NewManager creates fresh pass instances per
+// unit, because passes like SIMADDR accumulate per-run instance state
+// and sharing instances across units would cross-contaminate results.
 func (s *Server) runBatch(bt *batch, st *relax.State) {
 	n := int64(len(bt.jobs))
 	s.queued.Add(-n)
@@ -352,7 +351,7 @@ func (s *Server) runBatch(bt *batch, st *relax.State) {
 // to the CLI.
 func (s *Server) runJob(j *job, batchSize int, st *relax.State) {
 	if err := j.ctx.Err(); err != nil {
-		j.done <- jobResult{status: statusForCtx(err), err: err}
+		j.flight.Publish(jobResult{status: statusForCtx(err), err: err})
 		return
 	}
 	// Every request's pipeline is traced: the collector carries the
@@ -371,7 +370,7 @@ func (s *Server) runJob(j *job, batchSize int, st *relax.State) {
 	// slot, and the pipeline root (added by pass.Manager) is re-parented
 	// under it after the run.
 	wait := col.Now() - j.admitted
-	s.met.queueWait.observe(wait.Seconds())
+	s.met.queueWait.Observe(wait.Seconds())
 	queueIdx := col.Add(trace.Span{Kind: trace.KindQueue, Start: j.admitted, Dur: wait, Parent: -1})
 	batchIdx := col.Add(trace.Span{
 		Kind: trace.KindBatch, Start: col.Now(), Parent: queueIdx,
@@ -382,7 +381,7 @@ func (s *Server) runJob(j *job, batchSize int, st *relax.State) {
 		res.spans = col.Spans()
 		res.queueNS = int64(wait)
 		s.met.observePassSpans(res.spans)
-		j.done <- res
+		j.flight.Publish(res)
 	}
 	u, err := asm.ParseString(j.req.unitName(), j.req.Source)
 	if err != nil {
